@@ -16,7 +16,7 @@ failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.automation import DatacenterAutomation
 from repro.cluster.host import GIB, Host
@@ -45,7 +45,6 @@ from repro.cubrick.sharding import (
 )
 from repro.errors import ConfigurationError, TableNotFoundError
 from repro.obs import Observability
-from repro.sched.cache import QueryResultCache
 from repro.sched.queue import NodeSlots
 from repro.shardmanager.server import SMServer
 from repro.shardmanager.spec import ServiceSpec
@@ -54,6 +53,9 @@ from repro.sim.failures import BernoulliFailureModel, FailureInjector, MtbfFailu
 from repro.sim.latency import LatencyModel, LogNormalTailLatency
 from repro.sim.rng import RngRegistry
 from repro.smc.registry import ServiceDiscovery
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sql import PhysicalPlan
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,6 @@ class DeploymentConfig:
     # host wait for a free lane, so per-node queueing delay appears in
     # query latency. None = legacy unbounded concurrency.
     executor_slots_per_host: Optional[int] = None
-    # Proxy result-cache entries; 0 disables caching (legacy behaviour).
-    result_cache_capacity: int = 0
     # Consensus-replicated metadata (repro.consensus): every region's SM
     # stores its shard map in a Raft-replicated datastore instead of a
     # process-local dict, so metadata survives a full region partition.
@@ -208,8 +208,6 @@ class CubrickDeployment:
             rng=self.rngs.stream("proxy"),
             obs=self.obs,
         )
-        if cfg.result_cache_capacity > 0:
-            self.proxy.result_cache = QueryResultCache(cfg.result_cache_capacity)
         self.automation = DatacenterAutomation(
             self.simulator,
             self.cluster,
@@ -422,38 +420,39 @@ class CubrickDeployment:
         )
 
     def sql(self, statement: str, **query_kwargs) -> QueryResult:
-        """Plan and execute one SQL statement.
+        """Plan and execute one SQL statement, uncached.
 
         >>> deployment.sql("SELECT sum(clicks) FROM events LIMIT 5")
 
-        The statement runs through the full :mod:`repro.sql` pipeline:
-        parse, catalog-aware logical planning with the rewrite-rule
-        pipeline, then physical lowering (proxy fan-out, broadcast join
-        or partitioned-hash join depending on the tables involved).
+        The statement runs through :meth:`compile_sql` and then executes
+        the physical plan: proxy fan-out, broadcast join or
+        partitioned-hash join depending on the tables involved.
         ``query_kwargs`` (``allow_partial``/``straggler_timeout``/
-        ``deadline``) apply to proxy fan-out plans.
+        ``deadline``) apply to proxy fan-out plans. Nothing here reads
+        or fills a result cache, so this is the reference answer the
+        managed and served paths are checked against.
         """
-        from repro.sql import build_physical, execute_plan, parse, plan
+        from repro.sql import execute_plan
 
-        stmt = parse(statement)
-        logical = plan(stmt, self.planner_context(), source=statement)
-        physical = build_physical(logical)
-        return execute_plan(physical, self.proxy, **query_kwargs)
+        return execute_plan(
+            self.compile_sql(statement), self.proxy, **query_kwargs
+        )
 
-    def compile_sql(self, statement: str) -> Query:
-        """Compile one single-table SELECT into a :class:`Query`.
+    def compile_sql(self, statement: str) -> "PhysicalPlan":
+        """Compile one SQL statement into a :class:`~repro.sql.PhysicalPlan`.
 
-        The managed admission path (:class:`~repro.sched.WorkloadManager`,
-        and the serving gateway in front of it) schedules ``Query``
-        objects, so SQL submitted there is compiled up front — errors
-        (syntax, unknown table) surface at submission time, before the
-        query consumes a queue slot.
+        Parse, catalog-aware logical planning with the rewrite-rule
+        pipeline, then physical lowering — pure catalog math, nothing
+        executes. Every problem (syntax, unknown table or column)
+        raises a positioned :class:`~repro.errors.SqlError`, so the
+        serving tier rejects a bad statement before it takes a queue
+        slot. A ``fanout`` plan's ``fanout_query`` is the
+        :class:`Query` the workload manager schedules.
         """
-        from repro.cubrick.sql import parse_query
+        from repro.sql import build_physical, parse, plan
 
-        query = parse_query(statement)
-        self.catalog.get(query.table)  # raises TableNotFoundError early
-        return query
+        logical = plan(parse(statement), self.planner_context(), source=statement)
+        return build_physical(logical)
 
     def explain(self, statement: str, *, optimize: bool = True) -> str:
         """Deterministic EXPLAIN text for one SQL statement.
@@ -490,7 +489,7 @@ class CubrickDeployment:
         straggler_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> QueryResult:
-        """Submit a query through the Cubrick proxy.
+        """Submit a query through the Cubrick proxy, uncached.
 
         ``allow_partial``/``straggler_timeout`` select the Scuba-style
         accuracy-for-availability mode; ``deadline`` hedges slow regions

@@ -12,6 +12,11 @@ Every query is submitted to a Cubrick proxy, which:
 * keeps the **partition-count cache** fresh from query-result metadata
   (locator strategy 4, §IV-C);
 * **logs** every query for tracing.
+
+Every call executes: the result cache belongs to the
+:class:`~repro.sched.WorkloadManager` in front of the proxy, so direct
+callers (``deployment.query``/``deployment.sql``) get the uncached
+reference answer.
 """
 
 from __future__ import annotations
@@ -30,11 +35,9 @@ from repro.errors import (
     ConfigurationError,
     QueryFailedError,
     RegionUnavailableError,
-    TableNotFoundError,
 )
 from repro.obs import Observability
 from repro.sched.admission import SlidingWindowAdmission
-from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache
 
 
 @dataclass
@@ -51,20 +54,6 @@ class QueryLogEntry:
     # The answer was accepted through the graceful-degradation path:
     # partial coverage, explicitly labelled (never silently wrong).
     degraded: bool = False
-    # Served from the proxy result cache without touching a region.
-    cached: bool = False
-
-
-@dataclass
-class AdmissionController(SlidingWindowAdmission):
-    """Compat shim: the sliding-window limiter now lives in ``repro.sched``.
-
-    Kept so existing callers (and tests) that reach for
-    ``proxy.admission.max_qps`` / ``set_table_quota`` keep working; the
-    implementation — including the fast-path fix that records arrivals
-    even while no limit is configured — is
-    :class:`repro.sched.admission.SlidingWindowAdmission`.
-    """
 
 
 class CubrickProxy:
@@ -105,10 +94,7 @@ class CubrickProxy:
             raise ConfigurationError(f"unknown regions in preference: {unknown}")
         self.region_preference = preference
         self.locator = locator if locator is not None else CachedRandom()
-        self.admission = AdmissionController(max_qps=max_qps)
-        # Optional proxy-level result cache (repro.sched). Off by
-        # default; installed by the workload manager or the deployment.
-        self.result_cache: Optional[QueryResultCache] = None
+        self.admission = SlidingWindowAdmission(max_qps=max_qps)
         self.blacklist_ttl = blacklist_ttl
         self._blacklist: dict[str, float] = {}  # host -> expiry time
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -160,66 +146,6 @@ class CubrickProxy:
         return candidates
 
     # ------------------------------------------------------------------
-    # Result cache
-    # ------------------------------------------------------------------
-
-    def _table_versions(self, table: str) -> Optional[tuple[int, int]]:
-        """(generation, ingest_generation) for cache keys; None = unknown."""
-        any_coordinator = next(iter(self.coordinators.values()))
-        try:
-            info = any_coordinator.catalog.get(table)
-        except TableNotFoundError:
-            return None
-        return info.generation, info.ingest_generation
-
-    def _cache_get(self, query: Query) -> Optional[QueryResult]:
-        versions = self._table_versions(query.table)
-        if versions is None:
-            return None
-        hit = self.result_cache.get(
-            query, generation=versions[0], ingest_generation=versions[1]
-        )
-        if hit is None:
-            return None
-        hit.metadata["cached"] = True
-        hit.metadata["latency_total"] = CACHE_HIT_LATENCY
-        self.query_log.append(
-            QueryLogEntry(
-                time=self._now,
-                table=query.table,
-                succeeded=True,
-                attempts=0,
-                latency=CACHE_HIT_LATENCY,
-                cached=True,
-            )
-        )
-        self._outcome_counter("cache_hit").inc()
-        self._latency_histogram.observe(CACHE_HIT_LATENCY)
-        return hit
-
-    def _cache_put(
-        self,
-        query: Query,
-        result: QueryResult,
-        versions: Optional[tuple[int, int]],
-    ) -> None:
-        """Store a fresh answer under the versions read *before* execution.
-
-        ``versions`` must be the (generation, ingest_generation) pair
-        sampled before the query ran. Re-reading the catalog here would
-        race with concurrent loads in the real-time serving tier: a load
-        landing between execution and this store would file a pre-load
-        answer under the post-load key — a stale read served until the
-        next invalidation. Keying by the pre-execution snapshot means a
-        concurrent bump simply makes this entry unreachable.
-        """
-        if versions is None:
-            return
-        self.result_cache.put(
-            query, result, generation=versions[0], ingest_generation=versions[1]
-        )
-
-    # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
 
@@ -231,7 +157,6 @@ class CubrickProxy:
         straggler_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         policy: Optional[ResiliencePolicy] = None,
-        cache_lookup: bool = True,
     ) -> QueryResult:
         """Route one query; retry retryable failures across regions.
 
@@ -254,10 +179,6 @@ class CubrickProxy:
         partial mode and the answer returned with an explicit
         ``metadata["completeness"]`` fraction instead of failing.
 
-        ``cache_lookup=False`` skips the result-cache *lookup* (for
-        callers like the workload manager that already checked) while
-        still storing the fresh answer for future hits.
-
         Raises :class:`AdmissionControlError` when over the QPS limit,
         :class:`RegionUnavailableError` when no region can serve, and
         re-raises the last :class:`QueryFailedError` when all regions
@@ -265,22 +186,6 @@ class CubrickProxy:
         """
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(f"deadline must be positive: {deadline}")
-        # Only full-fidelity answers are cacheable: partial/straggler
-        # modes change result semantics and must always execute.
-        cacheable = (
-            self.result_cache is not None
-            and not allow_partial
-            and straggler_timeout is None
-        )
-        if cacheable and cache_lookup:
-            hit = self._cache_get(query)
-            if hit is not None:
-                return hit
-        # Snapshot the table versions before executing so the store
-        # below cannot be poisoned by a load that lands mid-flight.
-        cache_versions = (
-            self._table_versions(query.table) if cacheable else None
-        )
         # The root span of every query trace. Its duration is the
         # user-visible latency (wasted attempts included); coordinator
         # and per-host scan spans nest beneath it.
@@ -315,8 +220,6 @@ class CubrickProxy:
             )
         self._outcome_counter("ok").inc()
         self._latency_histogram.observe(latency_total)
-        if cacheable:
-            self._cache_put(query, result, cache_versions)
         return result
 
     def _submit(

@@ -286,6 +286,9 @@ class Catalog:
     """The cluster-wide table catalog."""
 
     tables: dict[str, TableInfo] = field(default_factory=dict)
+    #: name -> ingest generation a re-created table starts at: above
+    #: every version of the dropped table, so no cache key can match both.
+    _dropped: dict[str, int] = field(default_factory=dict)
 
     def create(self, schema: TableSchema, *, num_partitions: int = 8,
                replicated: bool = False) -> TableInfo:
@@ -294,7 +297,8 @@ class Catalog:
         if schema.name in self.tables:
             raise TableAlreadyExistsError(f"table {schema.name} already exists")
         info = TableInfo(
-            schema=schema, num_partitions=num_partitions, replicated=replicated
+            schema=schema, num_partitions=num_partitions, replicated=replicated,
+            ingest_generation=self._dropped.get(schema.name, 0),
         )
         self.tables[schema.name] = info
         return info
@@ -320,7 +324,7 @@ class Catalog:
 
         if name not in self.tables:
             raise TableNotFoundError(f"unknown table: {name}")
-        del self.tables[name]
+        self._dropped[name] = self.tables.pop(name).ingest_generation + 1
 
     def __contains__(self, name: str) -> bool:
         return name in self.tables

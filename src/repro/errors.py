@@ -134,6 +134,14 @@ class SqlError(QueryError):
         return f"{self.message} (at position {self.position})"
 
 
+class UnknownTableSqlError(SqlError, TableNotFoundError):
+    """A SQL statement names a table the catalog does not have.
+
+    Both a positioned :class:`SqlError` and a :class:`TableNotFoundError`,
+    so the serving tier keeps reporting it as ``table_not_found``.
+    """
+
+
 class QueryFailedError(CubrickError):
     """Query execution failed at runtime (e.g. a participating host died).
 

@@ -3,11 +3,10 @@
 Three generations of the proxy front door live here:
 
 * :class:`SlidingWindowAdmission` — the original 37-line sliding-window
-  QPS limiter absorbed from ``repro.cubrick.proxy`` (the proxy keeps a
-  behaviour-identical ``AdmissionController`` shim subclassing it).
-  Includes the fast-path fix: arrivals are recorded even while no limit
-  is configured, so tightening ``max_qps`` mid-run sees the true recent
-  rate instead of an empty window.
+  QPS limiter absorbed from ``repro.cubrick.proxy``, which uses it as
+  ``proxy.admission``. Includes the fast-path fix: arrivals are
+  recorded even while no limit is configured, so tightening ``max_qps``
+  mid-run sees the true recent rate instead of an empty window.
 * :class:`TokenBucket` — deterministic token bucket refilled from the
   virtual clock; the building block for global and per-tenant quotas.
 * :class:`AdmissionControllerV2` — the workload-management front door:

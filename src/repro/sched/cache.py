@@ -1,15 +1,19 @@
-"""Query result cache keyed by normalised plan + ingestion generation.
+"""Query result cache keyed by normalised plan + table versions.
 
 Dashboard workloads repeat: the same handful of queries per tenant run
-over and over, and serving a repeat from the proxy without touching the
-cluster is the cheapest capacity there is. Correctness is by *versioned
-keys*, not explicit invalidation: a cache key includes the table's
-partitioning generation (bumped by re-partitions) and its ingestion
-generation (bumped by every load and by every streaming-loader flush),
-so any write makes all previously cached answers for the table
-unreachable — they age out of the LRU ring. An explicit
-:meth:`QueryResultCache.invalidate_table` is provided for operators who
-want the memory back immediately.
+over and over, and serving a repeat without touching the cluster is the
+cheapest capacity there is. The cache is owned by the
+:class:`~repro.sched.WorkloadManager` alone: it probes before admission
+and stores each fresh answer after execution.
+
+Correctness is by *versioned keys*, not explicit invalidation: a key
+carries the partitioning generation (bumped by re-partitions) and the
+ingestion generation (bumped by every load and by every streaming-loader
+flush) of *every table the query reads* — the fact table and each join
+table, read once per probe or store by :func:`table_versions`. Any write
+to any of them makes previously cached answers unreachable; they age out
+of the LRU ring. An explicit :meth:`QueryResultCache.invalidate_table`
+is provided for operators who want the memory back immediately.
 
 The normalised plan is the canonical SQL rendering from
 :mod:`repro.cubrick.sql` — two structurally identical queries built
@@ -26,9 +30,13 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cubrick.query import Query, QueryResult
+    from repro.cubrick.schema import Catalog
 
-#: Modelled latency of answering from the proxy-local cache (seconds).
+#: Modelled latency of answering from the result cache (seconds).
 CACHE_HIT_LATENCY = 0.0002
+
+#: ``(table, generation, ingest_generation)`` for each table a query reads.
+Versions = tuple[tuple[str, int, int], ...]
 
 
 @dataclass
@@ -41,6 +49,19 @@ class CacheStats:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def table_versions(catalog: "Catalog", query: "Query") -> Versions:
+    """The version snapshot of every table ``query`` reads.
+
+    The fact table first, then each join table in join order. Raises
+    :class:`~repro.errors.TableNotFoundError` for an unknown table.
+    """
+    versions = []
+    for table in (query.table, *(join.table for join in query.joins)):
+        info = catalog.get(table)
+        versions.append((table, info.generation, info.ingest_generation))
+    return tuple(versions)
 
 
 def plan_key(query: "Query") -> str:
@@ -58,30 +79,20 @@ class QueryResultCache:
             raise ConfigurationError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        # key -> QueryResult snapshot; key embeds both generations.
+        # (versions, plan) -> QueryResult snapshot.
         self._entries: "OrderedDict[tuple, QueryResult]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def _key(table: str, plan: str, generation: int, ingest_generation: int) -> tuple:
-        return (table, generation, ingest_generation, plan)
-
-    def get(
-        self,
-        query: "Query",
-        *,
-        generation: int,
-        ingest_generation: int,
-    ) -> Optional["QueryResult"]:
-        """Cached result for this plan at these versions, or None.
+    def get(self, query: "Query", versions: Versions) -> Optional["QueryResult"]:
+        """Cached result for this plan at these table versions, or None.
 
         Returns an independent copy: callers mutate result metadata
         (latency accounting, attempt counts) and must never corrupt the
         cached snapshot.
         """
-        key = self._key(query.table, plan_key(query), generation, ingest_generation)
+        key = (versions, plan_key(query))
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -91,22 +102,20 @@ class QueryResultCache:
         return self._copy(entry)
 
     def put(
-        self,
-        query: "Query",
-        result: "QueryResult",
-        *,
-        generation: int,
-        ingest_generation: int,
+        self, query: "Query", result: "QueryResult", versions: Versions
     ) -> None:
         """Cache one result snapshot (full, non-degraded answers only).
 
+        ``versions`` must be the snapshot read *before* the query ran: a
+        load landing mid-execution then makes this entry unreachable
+        instead of filing a pre-load answer under the post-load key.
         Partial or degraded answers are refused: a cache must never
         replay an answer that was only acceptable under the failure
         conditions of the moment it was computed.
         """
         if result.metadata.get("partial") or result.metadata.get("degraded"):
             return
-        key = self._key(query.table, plan_key(query), generation, ingest_generation)
+        key = (versions, plan_key(query))
         self._entries[key] = self._copy(result)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -114,8 +123,11 @@ class QueryResultCache:
             self.stats.evictions += 1
 
     def invalidate_table(self, table: str) -> int:
-        """Drop every cached entry for ``table``; returns entries dropped."""
-        stale = [key for key in self._entries if key[0] == table]
+        """Drop every entry that reads ``table``; returns entries dropped."""
+        stale = [
+            key for key in self._entries
+            if any(version[0] == table for version in key[0])
+        ]
         for key in stale:
             del self._entries[key]
         self.stats.invalidations += len(stale)

@@ -36,7 +36,7 @@ from repro.sched.admission import (
     AdaptiveShedder,
     AdmissionControllerV2,
 )
-from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache
+from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache, table_versions
 from repro.sched.queue import (
     OUTCOME_OK,
     ExecutorQueue,
@@ -167,15 +167,13 @@ class WorkloadManager:
             )
         else:
             self.admission = None
-        self.cache: Optional[QueryResultCache] = None
-        if self.policy.cache_capacity > 0:
-            # Install the proxy-level result cache (shared: direct
-            # proxy.submit callers benefit too); reuse one if present.
-            if deployment.proxy.result_cache is None:
-                deployment.proxy.result_cache = QueryResultCache(
-                    self.policy.cache_capacity
-                )
-            self.cache = deployment.proxy.result_cache
+        #: The result cache: probed in :meth:`submit`, filled in
+        #: :meth:`_execute`. None when the policy disables caching.
+        self.cache: Optional[QueryResultCache] = (
+            QueryResultCache(self.policy.cache_capacity)
+            if self.policy.cache_capacity > 0
+            else None
+        )
         self.records: list[JobRecord] = []
         self._outstanding = 0
         self._sla_ok = self.obs.metrics.counter("repro.sched.sla", outcome="ok")
@@ -230,11 +228,8 @@ class WorkloadManager:
         self.records.append(record)
 
         if self.cache is not None:
-            info = self.deployment.catalog.get(query.table)
             hit = self.cache.get(
-                query,
-                generation=info.generation,
-                ingest_generation=info.ingest_generation,
+                query, table_versions(self.deployment.catalog, query)
             )
             if hit is not None:
                 record.outcome = "cache_hit"
@@ -286,8 +281,9 @@ class WorkloadManager:
     def _execute(self, query: "Query", record: JobRecord) -> float:
         """Run one query through the proxy; returns its total latency.
 
-        The manager already consulted the cache, so lookup is skipped;
-        the proxy still *stores* the fresh answer for future hits.
+        The fresh answer is stored in the cache under the version
+        snapshot read just before execution, so a load that lands while
+        the query runs makes the entry unreachable instead of stale.
 
         A managed query's trace is rooted here: the root span is
         backdated to the job's arrival with an explicit queue-wait child
@@ -297,6 +293,7 @@ class WorkloadManager:
         """
         now = self.deployment.simulator.now
         queue_wait = max(0.0, now - record.submitted)
+        versions = table_versions(self.deployment.catalog, query)
         with self.obs.tracer.span(
             "repro.sched.query",
             table=query.table,
@@ -312,11 +309,13 @@ class WorkloadManager:
                 adm_span.set_duration(0.0)
                 adm_span.annotate(reason=REASON_OK)
             try:
-                result = self.deployment.proxy.submit(query, cache_lookup=False)
+                result = self.deployment.proxy.submit(query)
             except Exception as exc:
                 root.set_duration(queue_wait)
                 root.annotate(outcome="failed", error=str(exc))
                 raise
+            if self.cache is not None:
+                self.cache.put(query, result, versions)
             record.result = result
             latency = float(result.metadata.get("latency_total", 0.0))
             root.set_duration(queue_wait + latency)

@@ -73,7 +73,7 @@ def _tenant_pools(
     """Per-tenant fixed SQL dashboards over the serving deployment.
 
     Rendered through the canonical SQL printer, so the gateway's SQL
-    path (parse → compile → plan-key) round-trips them and identical
+    path (parse → plan → plan-key) round-trips them and identical
     pool entries share one cache key.
     """
     from repro.cubrick.sql import render_query
@@ -219,7 +219,7 @@ async def run_bench_async(
     if own_gateway:
         await gateway.drain()
 
-    cache = deployment.proxy.result_cache
+    cache = gateway.manager.cache
     report: dict = {
         "benchmark": "serve",
         "config": {

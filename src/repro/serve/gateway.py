@@ -3,9 +3,13 @@
 The gateway turns the repository from a simulator into a runnable
 service. Real clients connect over TCP and speak the length-prefixed
 JSON protocol (:mod:`repro.serve.protocol`); their queries run through
-the exact same stack every DES experiment exercises — SQL compilation,
-admission v2, the result cache, EDF executor queues, coordinator
-fan-out, the span tracer — none of which knows the wall clock exists.
+the exact same stack every DES experiment exercises — the catalog-aware
+SQL planner behind ``deployment.sql()``, the workload manager's result
+cache and admission v2, EDF executor queues, coordinator fan-out, the
+span tracer — none of which knows the wall clock exists. A statement
+that fails to plan gets a typed ``sql`` error before it takes a queue
+slot; so does a join against a sharded dimension table, whose
+distributed plan the one-fan-out-per-job manager does not schedule.
 
 Two clock domains, one axis
 ---------------------------
@@ -32,8 +36,8 @@ Backpressure and loss
   within ``write_timeout`` real seconds drops the connection (the
   request itself was still processed and counted).
 * **Coalescing** — identical in-flight queries (same canonical plan,
-  same table generations, same tenant and priority) attach to the
-  leader's execution instead of re-running it.
+  same versions of every table read, same tenant and priority) attach
+  to the leader's execution instead of re-running it.
 * **Graceful drain** — on SIGTERM (or :meth:`ServeGateway.drain`) the
   listener closes, new frames get ``shutting_down`` errors, every
   accepted in-flight request runs to completion with the pump alive,
@@ -43,10 +47,11 @@ Backpressure and loss
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.cubrick.query import AggFunc, Aggregation, Filter, FilterOp, Query
+from repro.cubrick.query import AggFunc, Aggregation, Filter, FilterOp, Query, QueryResult
 from repro.errors import (
     ConfigurationError,
     QueryError,
@@ -54,7 +59,7 @@ from repro.errors import (
     SqlError,
     TableNotFoundError,
 )
-from repro.sched.cache import plan_key
+from repro.sched.cache import Versions, plan_key, table_versions
 from repro.sched.manager import JobRecord
 from repro.sched.queue import PriorityClass
 from repro.serve.clock import RealTimeClock
@@ -69,10 +74,15 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
+from repro.sql.physical import PhysicalPlan, empty_result
 
 #: JobRecord outcomes that mean "admission said no", reported to the
 #: client as one typed ``rejected`` error with the outcome as reason.
 REJECT_OUTCOMES = ("shed", "quota", "tenant_quota", "queue_full", "deadline")
+
+#: Compiled statements the gateway keeps. Dashboards repeat a few dozen
+#: statements, and planning one costs as much CPU as serving a cache hit.
+COMPILED_CAPACITY = 256
 
 
 def parse_priority(name: object) -> PriorityClass:
@@ -161,6 +171,46 @@ def query_from_spec(spec: dict) -> Query:
     )
 
 
+def result_payload(result: QueryResult, outcome: str, latency: float) -> dict:
+    """The wire form of one answer."""
+    payload: dict = {
+        "columns": list(result.columns),
+        "rows": jsonable(result.rows),
+        "outcome": outcome,
+        "latency": latency,
+        "rows_scanned": result.rows_scanned,
+    }
+    if outcome == "cache_hit":
+        payload["cached"] = True
+    if result.metadata.get("degraded"):
+        # Degraded-completeness answers are explicit on the wire.
+        payload["degraded"] = True
+        payload["completeness"] = float(
+            result.metadata.get("completeness", 0.0)
+        )
+    return payload
+
+
+def served_query(physical: PhysicalPlan) -> Query:
+    """The one fan-out :class:`Query` a compiled statement schedules.
+
+    Raises a positioned :class:`~repro.errors.SqlError` for the
+    distributed-join plans (``broadcast-join``, ``hash-join``): the
+    workload manager runs one fan-out per job, so they are not served.
+    """
+    if physical.kind == "fanout":
+        return physical.fanout_query
+    logical = physical.logical
+    table = physical.sharded_joins[0].table
+    clause = next(c for c in logical.statement.joins if c.table == table)
+    raise logical.error(
+        f"join with sharded table {table!r} needs a {physical.kind} plan, "
+        f"which the serving tier does not run (replicate the table, or "
+        f"use deployment.sql)",
+        clause.pos,
+    )
+
+
 @dataclass
 class GatewayStats:
     """Running totals the ``stats`` op and the bench harness read."""
@@ -221,7 +271,6 @@ class ServeGateway:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         write_timeout: float = 5.0,
         pump_interval: float = 0.005,
-        coalesce: bool = True,
         metrics_path: Optional[str] = None,
     ):
         if max_inflight <= 0:
@@ -245,7 +294,6 @@ class ServeGateway:
         self.max_frame_bytes = max_frame_bytes
         self.write_timeout = write_timeout
         self.pump_interval = pump_interval
-        self.coalesce = coalesce
         self.metrics_path = metrics_path
         self.stats = GatewayStats()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -254,11 +302,13 @@ class ServeGateway:
         self._draining = False
         self._stopped = asyncio.Event()
         self._pending = 0
-        #: Coalescing map: (plan, generation, ingest_generation, tenant,
-        #: priority) → the leader's pending JobRecord future. Generations
-        #: in the key guarantee a request arriving after a load can never
+        #: Coalescing map: (plan, table versions, tenant, priority) → the
+        #: leader's pending JobRecord future. The versions of every table
+        #: read guarantee a request arriving after a load can never
         #: attach to a pre-load execution.
         self._inflight_queries: dict[tuple, asyncio.Future] = {}
+        #: statement → (plan, ((table, catalog entry), ...)); see _compile.
+        self._compiled: "OrderedDict[str, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -554,9 +604,8 @@ class ServeGateway:
         except TableNotFoundError as exc:
             return error_response(rid, "table_not_found", str(exc))
         dropped = 0
-        cache = self.deployment.proxy.result_cache
-        if cache is not None:
-            dropped = cache.invalidate_table(table)
+        if self.manager.cache is not None:
+            dropped = self.manager.cache.invalidate_table(table)
         return ok_response(rid, {"invalidated": dropped})
 
     async def _handle_query(self, rid: object, op: str, msg: dict) -> dict:
@@ -571,24 +620,57 @@ class ServeGateway:
                     return error_response(
                         rid, "bad_request", "sql op needs an sql string"
                     )
-                query = self.deployment.compile_sql(statement)
+                physical = self._compile(statement)
+                if physical.kind == "empty":
+                    # Unsatisfiable WHERE: zero rows, no fan-out.
+                    return ok_response(rid, result_payload(
+                        empty_result(physical.logical), "ok", 0.0
+                    ))
+                query = served_query(physical)
             else:
                 query = query_from_spec(msg)
+            versions = table_versions(self.deployment.catalog, query)
+        except TableNotFoundError as exc:
+            return error_response(rid, "table_not_found", str(exc))
         except SqlError as exc:
             return error_response(
                 rid, "sql", str(exc), context=exc.context()
             )
-        except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
         except QueryError as exc:
             return error_response(rid, "bad_request", str(exc))
-        try:
-            self.deployment.catalog.get(query.table)
-        except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
 
-        record, coalesced = await self._submit(query, tenant, priority)
+        record, coalesced = await self._submit(
+            query, versions, tenant, priority
+        )
         return self._record_response(rid, record, coalesced)
+
+    def _compile(self, statement: str) -> PhysicalPlan:
+        """``deployment.compile_sql``, memoised by statement text.
+
+        What the gateway does with a plan — its fan-out query, its
+        emptiness, or refusing its distributed join — depends only on
+        the statement and on the schemas and replication of the tables
+        it binds, which are fixed for the life of a catalog entry. So a
+        memoised plan stays valid while every bound table still has the
+        same catalog entry; a dropped or re-created table recompiles.
+        Statements that fail to compile are never memoised.
+        """
+        tables = self.deployment.catalog.tables
+        entry = self._compiled.get(statement)
+        if entry is not None and all(
+            tables.get(name) is info for name, info in entry[1]
+        ):
+            self._compiled.move_to_end(statement)
+            return entry[0]
+        physical = self.deployment.compile_sql(statement)
+        binding = physical.logical.binding
+        bound = ((physical.logical.fact_table, binding.fact),)
+        self._compiled[statement] = (
+            physical, bound + tuple(binding.join_infos.items())
+        )
+        if len(self._compiled) > COMPILED_CAPACITY:
+            self._compiled.popitem(last=False)
+        return physical
 
     # ------------------------------------------------------------------
     # Submission bridge (asyncio ⇄ DES)
@@ -623,20 +705,12 @@ class ServeGateway:
     async def _submit(
         self,
         query: Query,
+        versions: Versions,
         tenant: Optional[str],
         priority: PriorityClass,
     ) -> tuple[JobRecord, bool]:
         """Submit with coalescing; returns (record, was_coalesced)."""
-        if not self.coalesce:
-            return await self._submit_future(query, tenant, priority), False
-        info = self.deployment.catalog.get(query.table)
-        key = (
-            plan_key(query),
-            info.generation,
-            info.ingest_generation,
-            tenant,
-            priority,
-        )
+        key = (plan_key(query), versions, tenant, priority)
         existing = self._inflight_queries.get(key)
         if existing is not None and not existing.done():
             self.stats.coalesced += 1
@@ -668,25 +742,9 @@ class ServeGateway:
                 "query_failed",
                 record.error or "query execution failed",
             )
-        result = record.result
-        payload: dict = {
-            "columns": list(result.columns),
-            "rows": jsonable(result.rows),
-            "outcome": record.outcome,
-            "latency": record.latency,
-            "rows_scanned": result.rows_scanned,
-        }
-        metadata = result.metadata
-        if record.outcome == "cache_hit" or metadata.get("cached"):
-            payload["cached"] = True
+        payload = result_payload(record.result, record.outcome, record.latency)
         if coalesced:
             payload["coalesced"] = True
-        if metadata.get("degraded"):
-            # Degraded-completeness answers are explicit on the wire.
-            payload["degraded"] = True
-            payload["completeness"] = float(
-                metadata.get("completeness", 0.0)
-            )
         return ok_response(rid, payload)
 
     # ------------------------------------------------------------------
@@ -699,7 +757,7 @@ class ServeGateway:
         out["pending"] = self._pending
         out["draining"] = self._draining
         out["virtual_time"] = self.simulator.now
-        cache = self.deployment.proxy.result_cache
+        cache = self.manager.cache
         if cache is not None:
             out["cache"] = {
                 "hits": cache.stats.hits,

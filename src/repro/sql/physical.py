@@ -5,8 +5,10 @@ Four plan shapes exist, picked from the logical plan's join strategies:
 * ``empty`` — the WHERE clause is unsatisfiable; the result is
   synthesised (zero rows) without touching any node.
 * ``fanout`` — no sharded joins: the query goes through the Cubrick
-  proxy unchanged (admission control, result cache, cross-region
-  retries), nodes answer joins from their local replicas.
+  proxy unchanged (admission control, cross-region retries), nodes
+  answer joins from their local replicas. This is the only kind the
+  workload manager schedules, and so the only kind served with its
+  result cache.
 * ``broadcast-join`` — each sharded dimension table's referenced
   columns are collected onto the coordinator and turned into
   fact-key-indexed lookup arrays, which ride down to every node scan as
@@ -19,8 +21,8 @@ Four plan shapes exist, picked from the logical plan's join strategies:
 
 The join kinds execute through a region coordinator directly (iterating
 the proxy's region preference on retryable failures) — they bypass the
-proxy's admission control and result cache, a documented limitation of
-the distributed-join path.
+proxy's admission control, a documented limitation of the
+distributed-join path.
 """
 
 from __future__ import annotations
@@ -167,20 +169,7 @@ def execute_plan(physical: PhysicalPlan, proxy, **submit_kwargs) -> QueryResult:
     """
     plan = physical.logical
     if physical.kind == "empty":
-        columns = tuple(plan.group_by) + tuple(
-            agg.label() for agg in plan.aggregations
-        )
-        result = QueryResult(columns=columns, rows=[])
-        result.metadata.update(
-            {
-                "table": plan.fact_table,
-                "latency": 0.0,
-                "fanout": 0,
-                "empty_reason": plan.empty_reason,
-                "join_strategies": dict(plan.join_strategies),
-            }
-        )
-        return result
+        return empty_result(plan)
     if physical.kind == "fanout":
         result = proxy.submit(physical.fanout_query, **submit_kwargs)
         if plan.join_strategies:
@@ -193,6 +182,24 @@ def execute_plan(physical: PhysicalPlan, proxy, **submit_kwargs) -> QueryResult:
     return _on_some_region(
         proxy, lambda coordinator: executor(physical, coordinator)
     )
+
+
+def empty_result(plan: LogicalPlan) -> QueryResult:
+    """The zero-row answer of an unsatisfiable WHERE; touches no node."""
+    columns = tuple(plan.group_by) + tuple(
+        agg.label() for agg in plan.aggregations
+    )
+    result = QueryResult(columns=columns, rows=[])
+    result.metadata.update(
+        {
+            "table": plan.fact_table,
+            "latency": 0.0,
+            "fanout": 0,
+            "empty_reason": plan.empty_reason,
+            "join_strategies": dict(plan.join_strategies),
+        }
+    )
+    return result
 
 
 def _on_some_region(proxy, fn) -> QueryResult:

@@ -34,7 +34,7 @@ from repro.cubrick.query import (
     Query,
 )
 from repro.cubrick.schema import Catalog, TableInfo
-from repro.errors import SqlError
+from repro.errors import SqlError, UnknownTableSqlError
 from repro.sql import ast
 
 #: Stand-in upper bound for unbounded ``>`` / ``>=`` predicates in the
@@ -462,8 +462,9 @@ class _Resolver:
     def resolve(self) -> LogicalPlan:
         stmt = self.statement
         if stmt.table not in self.catalog:
-            raise self.error(
-                f"unknown table {stmt.table!r}", stmt.table_pos
+            raise UnknownTableSqlError(
+                f"unknown table {stmt.table!r}",
+                statement=self.source, position=stmt.table_pos,
             )
         fact = self.catalog.get(stmt.table)
         binding = Binding(fact=fact)
@@ -540,8 +541,9 @@ class _Resolver:
                     f"duplicate join table {clause.table!r}", clause.pos
                 )
             if clause.table not in self.catalog:
-                raise self.error(
-                    f"unknown table {clause.table!r}", clause.pos
+                raise UnknownTableSqlError(
+                    f"unknown table {clause.table!r}",
+                    statement=self.source, position=clause.pos,
                 )
             info = self.catalog.get(clause.table)
             if not binding.fact.schema.has_dimension(clause.fact_key):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cubrick.proxy import AdmissionController
 from repro.errors import ConfigurationError
 from repro.obs import Observability
 from repro.sched.admission import (
@@ -60,9 +59,9 @@ def test_fast_path_regression_arrivals_recorded_without_limit():
     assert not admission.admit(0.5)
 
 
-def test_proxy_admission_controller_shim_shares_the_fix():
-    controller = AdmissionController()
-    assert isinstance(controller, SlidingWindowAdmission)
+def test_proxy_admission_shares_the_fix(tiny_deployment):
+    controller = tiny_deployment.proxy.admission
+    assert type(controller) is SlidingWindowAdmission
     for i in range(10):
         assert controller.admit(i * 0.05)
     controller.max_qps = 5.0

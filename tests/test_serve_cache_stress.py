@@ -7,9 +7,9 @@ generation keying carries the whole freshness contract. These tests pin
 it down from both ends:
 
 * a deterministic regression for the mid-flight store race: a load
-  landing between a query's execution and its cache store must make the
-  stored entry unreachable, never a stale hit (the store is keyed by
-  the *pre-execution* version snapshot);
+  landing between the proxy's answer and the workload manager's cache
+  store must make the stored entry unreachable, never a stale hit (the
+  store is keyed by the *pre-execution* version snapshot);
 * an asyncio stress test against a live gateway: concurrent closed-loop
   readers racing a writer, asserting that no response ever reflects
   less data than had been acknowledged as loaded before the query was
@@ -36,31 +36,39 @@ def test_cache_store_keyed_by_preexecution_versions():
     """A load landing mid-query must not poison the cache (stale read)."""
     serving = build_serving_deployment(0)
     deployment = serving.deployment
+    manager = serving.manager
     proxy = deployment.proxy
-    query = deployment.compile_sql("SELECT sum(clicks) FROM events")
+    statement = "SELECT sum(clicks) FROM events"
+    query = deployment.compile_sql(statement).fanout_query
 
-    real_submit = proxy._submit
+    def read():
+        record = manager.submit(query)
+        assert manager.drain()
+        return record
+
+    real_submit = proxy.submit
 
     def load_lands_mid_flight(q, **kwargs):
         result = real_submit(q, **kwargs)
         # Executed against the old data; the bump happens before the
-        # proxy gets a chance to store the answer.
+        # manager gets a chance to store the answer.
         deployment.load("events", [{"day": 1, "clicks": 50.0}])
         return result
 
-    proxy._submit = load_lands_mid_flight
-    stale = proxy.submit(query)
-    proxy._submit = real_submit
+    proxy.submit = load_lands_mid_flight
+    stale = read()
+    proxy.submit = real_submit
 
-    fresh = proxy.submit(query)
-    assert not fresh.metadata.get("cached"), (
+    fresh = read()
+    assert fresh.outcome == "ok", (
         "post-load lookup hit a cache entry stored for pre-load data"
     )
-    assert _total(fresh.rows) == _total(stale.rows) + 50.0
+    assert _total(fresh.result.rows) == _total(stale.result.rows) + 50.0
     # And the fresh answer is itself cacheable under the new versions.
-    again = proxy.submit(query)
-    assert again.metadata.get("cached") is True
-    assert _total(again.rows) == _total(fresh.rows)
+    again = read()
+    assert again.outcome == "cache_hit"
+    assert _total(again.result.rows) == _total(fresh.result.rows)
+    assert again.result.rows == deployment.sql(statement).rows
 
 
 def test_no_stale_reads_under_concurrent_load_and_query():

@@ -643,23 +643,6 @@ def test_record_response_error_and_degraded_payloads():
     run(check())
 
 
-def test_coalescing_can_be_disabled():
-    async def check():
-        gateway = await started_gateway(coalesce=False)
-        try:
-            host, port = gateway.address
-            async with ServeClient(host, port) as client:
-                statement = "SELECT sum(clicks) FROM events GROUP BY day"
-                await asyncio.gather(
-                    *(client.sql(statement, tenant="t2") for __ in range(3))
-                )
-            assert gateway.stats.coalesced == 0
-        finally:
-            await gateway.close()
-
-    run(check())
-
-
 # ----------------------------------------------------------------------
 # Graceful drain
 # ----------------------------------------------------------------------
