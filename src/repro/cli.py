@@ -526,35 +526,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve())
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Run the closed-loop serving benchmark and write BENCH_serve.json.
-
-    Boots the gateway in-process on a loopback port, drives it with N
-    concurrent closed-loop asyncio clients (Zipf tenant skew, fixed
-    per-tenant dashboards) and reports sustained QPS, p50/p95/p99,
-    admission rejects and cache hit rate.
-    """
-    import asyncio
-
-    from repro.serve import render_report, run_bench_async, write_report
-
-    report = asyncio.run(
-        run_bench_async(
-            clients=args.clients,
-            duration=args.duration,
-            seed=args.seed,
-            tenants=args.tenants,
-            think_time=args.think_time,
-        )
-    )
-    print(render_report(report), end="")
-    if args.json:
-        write_report(report, args.json)
-        print(f"report written to {args.json}")
-    ok = report["ok"] > 0 and report["protocol_errors"] == 0
-    return 0 if ok else 1
-
-
 def cmd_smc_delay(args: argparse.Namespace) -> int:
     tree = PropagationTree()
     rng = np.random.default_rng(args.seed)
@@ -754,24 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the Prometheus text export to PATH on drain",
     )
     serve.set_defaults(func=cmd_serve)
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="closed-loop serving benchmark: N concurrent clients with "
-             "Zipf tenant skew against an in-process gateway",
-    )
-    bench_serve.add_argument("--clients", type=int, default=200)
-    bench_serve.add_argument("--duration", type=float, default=10.0,
-                             help="measurement window in real seconds")
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument("--tenants", type=int, default=6)
-    bench_serve.add_argument("--think-time", type=float, default=0.0,
-                             help="per-client pause between requests")
-    bench_serve.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the machine-readable report (BENCH_serve.json) to PATH",
-    )
-    bench_serve.set_defaults(func=cmd_bench_serve)
 
     smc = sub.add_parser("smc-delay", help="SMC propagation delays (Fig 4c)")
     smc.add_argument("--samples", type=int, default=100_000)

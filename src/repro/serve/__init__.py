@@ -2,21 +2,20 @@
 
 A real asyncio TCP gateway (``repro serve``) in front of the
 byte-reproducible DES stack: clients speak a length-prefixed JSON
-protocol (:mod:`repro.serve.protocol`); the gateway bridges their
-queries onto SQL compilation, admission v2, the result cache, executor
+protocol (:mod:`repro.serve.protocol`); the gateway bridges their SQL
+statements onto the planner, admission v2, the result cache, executor
 queues and coordinator fan-out, all still running on virtual time. The
 clock domains meet in exactly two places — the anchored
 :class:`~repro.serve.clock.RealTimeClock` (the single sanctioned
 TID251 wall-clock boundary) and the gateway's event-loop pump that
 drives ``simulator.run_until(clock.now())``.
 
-``repro bench-serve`` (:mod:`repro.serve.bench`) is the closed-loop
-harness that measures the whole thing end to end: N concurrent clients
-with Zipf tenant skew, reporting sustained QPS, p50/p95/p99, admission
-rejects and cache hit rate as ``BENCH_serve.json``.
+The wire-level benchmark (``perfbench/run.py``) measures the whole
+thing end to end: an open-loop load generator in its own process
+drives a :class:`ServeGateway` in another, and checks every answer
+against an oracle.
 """
 
-from repro.serve.bench import render_report, run_bench_async, write_report
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.clock import RealTimeClock
 from repro.serve.deploy import (
@@ -24,7 +23,7 @@ from repro.serve.deploy import (
     build_serving_deployment,
     serve_policy,
 )
-from repro.serve.gateway import GatewayStats, ServeGateway, query_from_spec
+from repro.serve.gateway import GatewayStats, ServeGateway
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
@@ -50,11 +49,7 @@ __all__ = [
     "ServingDeployment",
     "build_serving_deployment",
     "encode_frame",
-    "query_from_spec",
     "read_frame",
-    "render_report",
-    "run_bench_async",
     "serve_policy",
     "write_frame",
-    "write_report",
 ]

@@ -2,8 +2,7 @@
 
 Speaks the length-prefixed JSON protocol over one TCP connection, with
 request-id correlation so callers may pipeline concurrent requests on a
-single socket (responses can arrive out of order). This is what the
-``repro bench-serve`` closed-loop harness drives — and a reference
+single socket (responses can arrive out of order). It is the reference
 implementation for anyone wiring up a client in another language.
 
 Server-reported errors come back as :class:`ServeError` carrying the
@@ -151,10 +150,6 @@ class ServeClient:
             message["tenant"] = tenant
         if priority is not None:
             message["priority"] = priority
-        return await self.call(message)
-
-    async def query(self, spec: dict, **fields) -> dict:
-        message = {"op": "query", **spec, **fields}
         return await self.call(message)
 
     async def load(self, table: str, rows: list) -> dict:

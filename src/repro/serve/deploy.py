@@ -1,10 +1,11 @@
 """Standard serving deployment: the fleet the gateway fronts.
 
-One place builds the deployment ``repro serve`` and ``repro bench-serve``
-run against, so the server, the benchmark harness and the tests all
-agree on the fleet shape — the same three-region dashboard deployment
-the overload experiment uses (:mod:`repro.workloads.loadgen`), warmed
-up and wrapped in a :class:`~repro.sched.WorkloadManager`.
+One place builds the deployment ``repro serve`` runs against, so the
+server and the tests agree on the fleet shape — the same three-region
+dashboard deployment the overload experiment uses
+(:mod:`repro.workloads.loadgen`), warmed up for
+:data:`WARMUP_SECONDS` and wrapped in a
+:class:`~repro.sched.WorkloadManager`.
 
 Building is pure DES: everything here runs under the virtual clock and
 is seeded, so two builds with one seed are identical. Real time only
@@ -67,7 +68,6 @@ def build_serving_deployment(
     seed: int = 0,
     *,
     policy: Optional[SchedPolicy] = None,
-    warmup: float = WARMUP_SECONDS,
 ) -> ServingDeployment:
     """Build, load and warm up the standard serving fleet.
 
@@ -82,6 +82,5 @@ def build_serving_deployment(
         deployment,
         policy=policy if policy is not None else serve_policy(),
     )
-    if warmup > 0:
-        deployment.simulator.run_until(deployment.simulator.now + warmup)
+    deployment.simulator.run_until(deployment.simulator.now + WARMUP_SECONDS)
     return ServingDeployment(deployment=deployment, manager=manager)

@@ -22,8 +22,9 @@ virtual time tracks real time and queued query completions fire at
 (approximately) the real moment they were simulated for. The pump
 sleeps until the earlier of the next DES event
 (:attr:`~repro.sim.engine.Simulator.next_event_time`) and a fixed
-heartbeat, and is woken immediately when a submission enqueues new
-work — no busy polling, no added latency floor beyond the heartbeat.
+heartbeat (:data:`PUMP_INTERVAL`), and is woken immediately when a
+submission enqueues new work — no busy polling, no added latency floor
+beyond the heartbeat.
 
 Backpressure and loss
 ---------------------
@@ -33,7 +34,7 @@ Backpressure and loss
   gateway simply stops reading frames from that socket, which
   propagates as TCP backpressure to the client.
 * **Slow-client write timeout** — a response write that cannot drain
-  within ``write_timeout`` real seconds drops the connection (the
+  within :data:`WRITE_TIMEOUT` real seconds drops the connection (the
   request itself was still processed and counted).
 * **Coalescing** — identical in-flight queries (same canonical plan,
   same versions of every table read, same tenant and priority) attach
@@ -47,11 +48,12 @@ Backpressure and loss
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.cubrick.query import AggFunc, Aggregation, Filter, FilterOp, Query, QueryResult
+from repro.cubrick.query import Query, QueryResult
 from repro.errors import (
     ConfigurationError,
     QueryError,
@@ -65,7 +67,6 @@ from repro.sched.queue import PriorityClass
 from repro.serve.clock import RealTimeClock
 from repro.serve.deploy import ServingDeployment
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
     ConnectionClosed,
     ProtocolError,
     error_response,
@@ -84,6 +85,13 @@ REJECT_OUTCOMES = ("shed", "quota", "tenant_quota", "queue_full", "deadline")
 #: statements, and planning one costs as much CPU as serving a cache hit.
 COMPILED_CAPACITY = 256
 
+#: Real seconds a response write may take to drain before the client
+#: counts as too slow and its connection is dropped.
+WRITE_TIMEOUT = 5.0
+
+#: The pump's heartbeat, real seconds: its longest sleep between ticks.
+PUMP_INTERVAL = 0.005
+
 
 def parse_priority(name: object) -> PriorityClass:
     """Wire priority string → :class:`PriorityClass` (default interactive)."""
@@ -96,79 +104,6 @@ def parse_priority(name: object) -> PriorityClass:
             f"unknown priority {name!r} "
             f"(known: {[p.name.lower() for p in PriorityClass]})"
         ) from None
-
-
-def query_from_spec(spec: dict) -> Query:
-    """Build a :class:`Query` from the wire protocol's programmatic form.
-
-    Raises :class:`~repro.errors.QueryError` on any malformed field —
-    the gateway reports it as a typed ``bad_request`` error.
-    """
-    table = spec.get("table")
-    if not isinstance(table, str) or not table:
-        raise QueryError("query spec needs a table name")
-    raw_aggs = spec.get("aggregations")
-    if not isinstance(raw_aggs, list) or not raw_aggs:
-        raise QueryError("query spec needs a non-empty aggregations list")
-    aggregations = []
-    for agg in raw_aggs:
-        if not isinstance(agg, dict):
-            raise QueryError(f"aggregation must be an object: {agg!r}")
-        try:
-            func = AggFunc(str(agg.get("func")))
-        except ValueError:
-            raise QueryError(
-                f"unknown aggregation func {agg.get('func')!r} "
-                f"(known: {[f.value for f in AggFunc]})"
-            ) from None
-        metric = agg.get("metric")
-        if not isinstance(metric, str) or not metric:
-            raise QueryError(f"aggregation needs a metric name: {agg!r}")
-        aggregations.append(Aggregation(func=func, metric=metric))
-    filters = []
-    for flt in spec.get("filters", []) or []:
-        if not isinstance(flt, dict):
-            raise QueryError(f"filter must be an object: {flt!r}")
-        try:
-            op = FilterOp(str(flt.get("op")))
-        except ValueError:
-            raise QueryError(
-                f"unknown filter op {flt.get('op')!r} "
-                f"(known: {[o.value for o in FilterOp]})"
-            ) from None
-        dimension = flt.get("dimension")
-        if not isinstance(dimension, str) or not dimension:
-            raise QueryError(f"filter needs a dimension name: {flt!r}")
-        values = flt.get("values")
-        if not isinstance(values, list):
-            raise QueryError(f"filter needs a values list: {flt!r}")
-        try:
-            coerced = tuple(int(v) for v in values)
-        except (TypeError, ValueError):
-            raise QueryError(
-                f"filter values must be integers: {values!r}"
-            ) from None
-        filters.append(Filter(dimension=dimension, op=op, values=coerced))
-    group_by = spec.get("group_by", []) or []
-    if not isinstance(group_by, list) or any(
-        not isinstance(g, str) for g in group_by
-    ):
-        raise QueryError(f"group_by must be a list of column names: {group_by!r}")
-    limit = spec.get("limit")
-    if limit is not None and not isinstance(limit, int):
-        raise QueryError(f"limit must be an integer: {limit!r}")
-    order_by = spec.get("order_by")
-    if order_by is not None and not isinstance(order_by, str):
-        raise QueryError(f"order_by must be a column name: {order_by!r}")
-    return Query.build(
-        table,
-        aggregations,
-        group_by=list(group_by),
-        filters=filters,
-        order_by=order_by,
-        descending=bool(spec.get("descending", True)),
-        limit=limit,
-    )
 
 
 def result_payload(result: QueryResult, outcome: str, latency: float) -> dict:
@@ -213,7 +148,7 @@ def served_query(physical: PhysicalPlan) -> Query:
 
 @dataclass
 class GatewayStats:
-    """Running totals the ``stats`` op and the bench harness read."""
+    """Running totals the ``stats`` op reports."""
 
     connections_total: int = 0
     connections_open: int = 0
@@ -266,20 +201,12 @@ class ServeGateway:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        clock: Optional[Callable[[], float]] = None,
         max_inflight: int = 32,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        write_timeout: float = 5.0,
-        pump_interval: float = 0.005,
         metrics_path: Optional[str] = None,
     ):
         if max_inflight <= 0:
             raise ConfigurationError(
                 f"max_inflight must be positive: {max_inflight}"
-            )
-        if pump_interval <= 0:
-            raise ConfigurationError(
-                f"pump_interval must be positive: {pump_interval}"
             )
         self.serving = serving
         self.manager = serving.manager
@@ -288,12 +215,8 @@ class ServeGateway:
         self.obs = serving.obs
         self._host = host
         self._port = port
-        self._injected_clock = clock
-        self.clock: Optional[Callable[[], float]] = clock
+        self.clock: Optional[RealTimeClock] = None
         self.max_inflight = max_inflight
-        self.max_frame_bytes = max_frame_bytes
-        self.write_timeout = write_timeout
-        self.pump_interval = pump_interval
         self.metrics_path = metrics_path
         self.stats = GatewayStats()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -336,10 +259,9 @@ class ServeGateway:
         """Bind the listener, anchor the clock, start the pump."""
         if self._server is not None:
             raise ConfigurationError("gateway already started")
-        if self.clock is None:
-            # Anchor real time at the warmed-up deployment's virtual
-            # time: from here on, the two clocks share one axis.
-            self.clock = RealTimeClock(start=self.simulator.now)
+        # Anchor real time at the warmed-up deployment's virtual time:
+        # from here on, the two clocks share one axis.
+        self.clock = RealTimeClock(start=self.simulator.now)
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -372,13 +294,12 @@ class ServeGateway:
             await self._server.wait_closed()
         drained = True
         remaining = timeout
-        step = min(0.01, self.pump_interval)
         while self._pending > 0:
             if remaining <= 0:
                 drained = False
                 break
-            await asyncio.sleep(step)
-            remaining -= step
+            await asyncio.sleep(PUMP_INTERVAL)
+            remaining -= PUMP_INTERVAL
         await self._stop_pump()
         self.obs.events.emit(
             "repro.serve.drained", clean=drained, pending=self._pending
@@ -437,7 +358,7 @@ class ServeGateway:
             if target > self.simulator.now:
                 self.simulator.run_until(target)
             next_event = self.simulator.next_event_time
-            delay = self.pump_interval
+            delay = PUMP_INTERVAL
             if next_event is not None:
                 delay = min(delay, max(next_event - self.clock(), 0.0))
             try:
@@ -462,9 +383,7 @@ class ServeGateway:
         try:
             while True:
                 try:
-                    msg = await read_frame(
-                        reader, max_bytes=self.max_frame_bytes
-                    )
+                    msg = await read_frame(reader)
                 except ConnectionClosed:
                     break
                 except ProtocolError as exc:
@@ -515,9 +434,7 @@ class ServeGateway:
 
     async def _send(self, conn: _Connection, obj: dict) -> None:
         async with conn.write_lock:
-            await write_frame(
-                conn.writer, obj, timeout=self.write_timeout
-            )
+            await write_frame(conn.writer, obj, timeout=WRITE_TIMEOUT)
 
     async def _process(self, conn: _Connection, msg: dict) -> None:
         try:
@@ -553,13 +470,12 @@ class ServeGateway:
             return self._handle_load(rid, msg)
         if op == "invalidate":
             return self._handle_invalidate(rid, msg)
-        if op in ("sql", "query"):
-            return await self._handle_query(rid, op, msg)
+        if op == "sql":
+            return await self._handle_sql(rid, msg)
         return error_response(
             rid,
             "unknown_op",
-            f"unknown op {op!r} "
-            "(known: ping, stats, load, invalidate, sql, query)",
+            f"unknown op {op!r} (known: ping, stats, load, invalidate, sql)",
         )
 
     def _handle_load(self, rid: object, msg: dict) -> dict:
@@ -570,6 +486,10 @@ class ServeGateway:
                 rid, "bad_request", "load needs a table name and a rows list"
             )
         try:
+            info = self.deployment.catalog.get(table)
+        except TableNotFoundError as exc:
+            return error_response(rid, "table_not_found", str(exc))
+        try:
             coerced = [
                 {str(k): float(v) for k, v in row.items()} for row in rows
             ]
@@ -578,13 +498,25 @@ class ServeGateway:
                 rid, "bad_request",
                 "load rows must be objects of numeric columns",
             )
+        # json.loads accepts NaN and Infinity, and routing a row needs
+        # every dimension: refuse the whole batch before any row lands.
+        dimensions = [dim.name for dim in info.schema.dimensions]
+        for index, row in enumerate(coerced):
+            if not all(math.isfinite(v) for v in row.values()):
+                return error_response(
+                    rid, "bad_request",
+                    f"load row {index} has a non-finite value",
+                )
+            missing = [name for name in dimensions if name not in row]
+            if missing:
+                return error_response(
+                    rid, "bad_request",
+                    f"load row {index} lacks dimension {missing[0]!r}",
+                )
         try:
             loaded = self.deployment.load(table, coerced)
-        except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
         except ReproError as exc:
             return error_response(rid, "bad_request", str(exc))
-        info = self.deployment.catalog.get(table)
         return ok_response(
             rid,
             {
@@ -608,27 +540,24 @@ class ServeGateway:
             dropped = self.manager.cache.invalidate_table(table)
         return ok_response(rid, {"invalidated": dropped})
 
-    async def _handle_query(self, rid: object, op: str, msg: dict) -> dict:
+    async def _handle_sql(self, rid: object, msg: dict) -> dict:
         tenant = msg.get("tenant")
         if tenant is not None:
             tenant = str(tenant)
+        statement = msg.get("sql")
+        if not isinstance(statement, str):
+            return error_response(
+                rid, "bad_request", "sql op needs an sql string"
+            )
         try:
             priority = parse_priority(msg.get("priority"))
-            if op == "sql":
-                statement = msg.get("sql")
-                if not isinstance(statement, str):
-                    return error_response(
-                        rid, "bad_request", "sql op needs an sql string"
-                    )
-                physical = self._compile(statement)
-                if physical.kind == "empty":
-                    # Unsatisfiable WHERE: zero rows, no fan-out.
-                    return ok_response(rid, result_payload(
-                        empty_result(physical.logical), "ok", 0.0
-                    ))
-                query = served_query(physical)
-            else:
-                query = query_from_spec(msg)
+            physical = self._compile(statement)
+            if physical.kind == "empty":
+                # Unsatisfiable WHERE: zero rows, no fan-out.
+                return ok_response(rid, result_payload(
+                    empty_result(physical.logical), "ok", 0.0
+                ))
+            query = served_query(physical)
             versions = table_versions(self.deployment.catalog, query)
         except TableNotFoundError as exc:
             return error_response(rid, "table_not_found", str(exc))
@@ -752,7 +681,7 @@ class ServeGateway:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Gateway + fleet counters for the ``stats`` op and the bench."""
+        """Gateway + fleet counters for the ``stats`` op."""
         out = self.stats.snapshot()
         out["pending"] = self._pending
         out["draining"] = self._draining

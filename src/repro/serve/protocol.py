@@ -9,15 +9,15 @@ Requests carry an ``op`` plus op-specific fields and an optional
 client-chosen ``id`` echoed back verbatim (responses may arrive out of
 order when a connection pipelines requests)::
 
-    {"id": 7, "op": "sql",  "sql": "SELECT sum(clicks) FROM events",
+    {"id": 7, "op": "sql", "sql": "SELECT sum(clicks) FROM events",
      "tenant": "tenant00", "priority": "interactive"}
-    {"id": 8, "op": "query", "table": "events",
-     "aggregations": [{"func": "sum", "metric": "clicks"}],
-     "filters": [{"op": "between", "dimension": "day", "values": [0, 6]}],
-     "group_by": ["day"], "limit": 10}
     {"op": "load", "table": "events", "rows": [{"day": 1, "clicks": 2.0}]}
     {"op": "invalidate", "table": "events"}
     {"op": "ping"} / {"op": "stats"}
+
+``sql`` is the only query op: every read goes through the planner.
+Every value in a ``load`` row is a finite number and every dimension
+of the table is present; a batch with any bad row is refused whole.
 
 Responses are ``{"id": ..., "ok": true, "result": {...}}`` or
 ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}``.
